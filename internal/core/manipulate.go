@@ -97,16 +97,21 @@ func keepLevelPred(lv *dataframe.Series, keep map[string]bool) func(dataframe.Ro
 // data is restricted to the surviving profiles; the tree and stats are
 // carried over.
 func (t *Thicket) FilterMetadata(pred func(MetaRow) bool) *Thicket {
-	meta := t.Metadata.Filter(func(r dataframe.Row) bool { return pred(MetaRow{row: r}) })
-	keep := make(map[string]bool, meta.NRows())
-	for r := 0; r < meta.NRows(); r++ {
-		keep[dataframe.EncodeKey(meta.Index().KeyAt(r))] = true
-	}
-	profLv := t.PerfData.Index().LevelByName(t.profileLevel)
-	perf := t.PerfData.Filter(func(r dataframe.Row) bool {
-		return keep[dataframe.EncodeKey([]dataframe.Value{profLv.At(r.Pos())})]
+	var rows []int
+	t.Metadata.Each(func(r dataframe.Row) {
+		if pred(MetaRow{row: r}) {
+			rows = append(rows, r.Pos())
+		}
 	})
-	return t.copyWith(t.Tree.Copy(), perf, meta, t.Stats.Copy())
+	// Perf rows survive when their profile value is a kept metadata key:
+	// a semi-join on the profile level. A multi-level metadata key never
+	// equals a single profile value, so nothing survives then.
+	var perfRows []int
+	if mix := t.Metadata.Index(); mix.NLevels() == 1 {
+		profLv := t.PerfData.Index().LevelByName(t.profileLevel)
+		perfRows = dataframe.SemiJoin(profLv, mix.Level(0), rows)
+	}
+	return t.copyWith(t.Tree.Copy(), t.PerfData.SelectRows(perfRows), t.Metadata.SelectRows(rows), t.Stats.Copy())
 }
 
 // FilterProfiles keeps only the profiles whose index value appears in

@@ -263,3 +263,42 @@ func BenchmarkConcatRowsNew(b *testing.B) {
 		}
 	}
 }
+
+// The semi-join pair is FilterMetadata's perf-row selection: an
+// int-valued profile level of benchRows rows (every profile repeated
+// once per call-tree node) probed against one metadata row in eight.
+var semiJoinSink []int
+
+func semiJoinBenchInput() (probe, build *Series, rows []int) {
+	const profiles = 1000
+	ids := make([]int64, profiles)
+	for i := range ids {
+		ids[i] = int64(i)*7919 + 13
+	}
+	perf := make([]int64, 0, benchRows)
+	for len(perf) < benchRows {
+		perf = append(perf, ids...)
+	}
+	for r := 0; r < profiles; r += 8 {
+		rows = append(rows, r)
+	}
+	return NewIntSeries("profile", perf[:benchRows]), NewIntSeries("profile", ids), rows
+}
+
+func BenchmarkSemiJoinRef(b *testing.B) {
+	probe, build, rows := semiJoinBenchInput()
+	benchSequential(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		semiJoinSink = refSemiJoin(probe, build, rows)
+	}
+}
+
+func BenchmarkSemiJoinNew(b *testing.B) {
+	probe, build, rows := semiJoinBenchInput()
+	benchSequential(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		semiJoinSink = SemiJoin(probe, build, rows)
+	}
+}

@@ -336,6 +336,23 @@ func diffFrame(rng *rand.Rand, nRows int, uniqueIndex bool) *Frame {
 	return MustFrame(MustIndex(node, trial), group, scale, tuned, ratio, tm)
 }
 
+// refSemiJoin is the old FilterMetadata perf-row selection: render each
+// kept build value and every probe value through EncodeKey, keep probe
+// rows whose rendering was kept.
+func refSemiJoin(probe, build *Series, buildRows []int) []int {
+	keep := make(map[string]bool, len(buildRows))
+	for _, r := range buildRows {
+		keep[EncodeKey([]Value{build.At(r)})] = true
+	}
+	var out []int
+	for r := 0; r < probe.Len(); r++ {
+		if keep[EncodeKey([]Value{probe.At(r)})] {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // eachWorkerCount runs the check sequentially and at several worker
 // counts; the results must be identical (determinism contract).
 func eachWorkerCount(t *testing.T, check func(t *testing.T)) {
@@ -413,9 +430,9 @@ func TestDifferentialIndexLookup(t *testing.T) {
 		[]Value{Str("nope"), Int64(0)},
 		[]Value{Str("main"), Int64(99)},
 		[]Value{Null(String), Int64(1)},
-		[]Value{Str("main")},                          // wrong arity
-		[]Value{Int64(1), Str("main")},                // wrong kinds
-		[]Value{Str("main"), Int64(1), Str("extra")},  // too long
+		[]Value{Str("main")},                         // wrong arity
+		[]Value{Int64(1), Str("main")},               // wrong kinds
+		[]Value{Str("main"), Int64(1), Str("extra")}, // too long
 	)
 	for qi, key := range queries {
 		want := refLookup(ix, key)

@@ -410,3 +410,67 @@ func translateCodes(src coded, find func(Value) (uint32, bool)) []uint32 {
 	}
 	return tr
 }
+
+// ---- semi-join ---------------------------------------------------------
+
+// SemiJoin returns, ascending, the positions of probe rows whose value
+// equals the value of some build row listed in buildRows — the row
+// selection a filter on one table induces on a table that references it
+// (metadata rows → performance-data rows). Equality is EncodeKey
+// identity: kinds never equal each other, every null (a NaN float
+// included) equals every other null, and −0 differs from +0. The build
+// side reduces to per-row codes; probe rows map into that code space
+// with one lookup per distinct word (strings) or one intern-map probe
+// per row (numbers), so the scan does no string traffic and keeps no
+// per-row scratch.
+func SemiJoin(probe, build *Series, buildRows []int) []int {
+	bc := encodeSeries(build)
+	defer bc.release()
+	want := make([]bool, int(bc.space)+1)
+	for _, r := range buildRows {
+		want[bc.codes[r]] = true
+	}
+	// A shared dictionary may have grown since build was coded; words
+	// interned later cannot be among the build rows.
+	hit := func(c uint32, ok bool) bool { return ok && int(c) < len(want) && want[c] }
+	n := probe.Len()
+	var out []int
+	switch {
+	case probe.kind == String:
+		keep := make([]bool, probe.dict.Len())
+		for c := range keep {
+			keep[c] = hit(bc.find(Str(probe.dict.Word(uint32(c)))))
+		}
+		for r := 0; r < n; r++ {
+			if probe.null[r] {
+				if want[nullCode] {
+					out = append(out, r)
+				}
+			} else if keep[probe.sc[r]] {
+				out = append(out, r)
+			}
+		}
+	case probe.kind == build.kind && bc.scratch != nil:
+		// Numbers: look the raw payload up in the build's intern map.
+		for r := 0; r < n; r++ {
+			c, ok := nullCode, true
+			switch {
+			case probe.null[r]:
+			case probe.kind == Int:
+				c, ok = bc.scratch[uint64(probe.i[r])]
+			case !math.IsNaN(probe.f[r]):
+				c, ok = bc.scratch[math.Float64bits(probe.f[r])]
+			}
+			if hit(c, ok) {
+				out = append(out, r)
+			}
+		}
+	default: // booleans and mismatched kinds
+		for r := 0; r < n; r++ {
+			if hit(bc.find(probe.At(r))) {
+				out = append(out, r)
+			}
+		}
+	}
+	return out
+}

@@ -323,6 +323,15 @@ func executeStore(ctx context.Context, st *store.Store, preds []Predicate, mode 
 	}
 
 	withStats := nseg == 1
+	// Segment thickets are the store's shared assemblies and never leave
+	// as they are: a lone segment's answer is copied, several are copied
+	// by the concatenation, and a filtered one is a gather.
+	own := func(th *core.Thicket) *core.Thicket {
+		if nseg == 1 {
+			return th.Copy()
+		}
+		return th
+	}
 	thickets := make([]*core.Thicket, 0, nseg)
 	for i := 0; i < nseg; i++ {
 		if err := ctx.Err(); err != nil {
@@ -361,7 +370,7 @@ func executeStore(ctx context.Context, st *store.Store, preds []Predicate, mode 
 				if err != nil {
 					return finish(err)
 				}
-				thickets = append(thickets, th)
+				thickets = append(thickets, own(th))
 				lap(&stages.MaterializeNS)
 				stageTo(ctx, StagePrune)
 			}
@@ -398,8 +407,8 @@ func executeStore(ctx context.Context, st *store.Store, preds []Predicate, mode 
 		}
 		stageTo(ctx, StageMaterialize)
 		if len(sel) == nrows {
-			// Every row survives; the filter copy would be an identity.
-			thickets = append(thickets, th)
+			// Every row survives; the filter gather would be an identity.
+			thickets = append(thickets, own(th))
 			lap(&stages.MaterializeNS)
 			stageTo(ctx, StagePrune)
 			continue

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime/debug"
+	"sync"
 	"time"
 )
 
@@ -45,7 +46,9 @@ func (s *Server) handleDebugAlerts(w http.ResponseWriter, r *http.Request) {
 // embedded build info: the main module version and, when the binary
 // was built from a VCS checkout, the revision and dirty flag. Test
 // binaries carry neither, so every field degrades to its zero value.
-func buildInfo() map[string]any {
+// The binary cannot change under a running process, so the fields are
+// read once; callers share the map and must not modify it.
+var buildInfo = sync.OnceValue(func() map[string]any {
 	out := map[string]any{"version": "", "revision": "", "dirty": false}
 	bi, ok := debug.ReadBuildInfo()
 	if !ok {
@@ -61,4 +64,4 @@ func buildInfo() map[string]any {
 		}
 	}
 	return out
-}
+})

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/dataframe"
 	"repro/internal/telemetry"
 )
@@ -15,14 +16,19 @@ import (
 const DefaultCacheBytes = 64 << 20
 
 // columnCache is a byte-bounded LRU of decoded column series, keyed by
-// (segment generation, frame, block). The generation stamp — not the
-// segment's position — identifies the segment, so compaction retiring
-// some segments invalidates exactly their entries (dropSegment) while
-// every surviving segment keeps its warm columns. Cached series are
-// shared between the cache and callers-in-flight, so retrieval hands
-// out deep copies; decode cost dominates copy cost by an order of
-// magnitude and copies keep a caller's mutations from poisoning the
-// cache.
+// (segment generation, frame, block), plus the segment assemblies built
+// over them. The generation stamp — not the segment's position —
+// identifies the segment, so compaction retiring some segments
+// invalidates exactly their entries (dropSegment) while every surviving
+// segment keeps its warm columns.
+//
+// Sharing contract: a cached series is shared only with store-internal
+// assemblies and with the frames a read builds before it returns.
+// Everything the store hands out is a gather or a copy, so no caller's
+// mutation can reach the cache. An assembly references its segment's
+// cached series instead of copying them, so each decoded column is
+// resident — and counted — once; evicting any of a segment's columns
+// evicts that segment's assemblies with it.
 type columnCache struct {
 	mu    sync.Mutex
 	max   int64
@@ -36,15 +42,49 @@ type columnCache struct {
 	misses *telemetry.Counter
 }
 
+// cacheKey names a decoded block, or — with frame set to one of the
+// assembly pseudo-frames — a segment assembly.
 type cacheKey struct {
 	gen   int64 // per-segment generation stamp
 	frame string
-	block int // index levels first, then data columns
+	block int // index levels first, then data columns; assemblies: 1 = with stats
+}
+
+// Assembly pseudo-frames: never the name of a stored frame.
+const (
+	asmFull  = "\x00full"  // every meta and perf block
+	asmEmpty = "\x00empty" // header-only schema, no meta or perf rows
+)
+
+func asmKey(gen int64, full, withStats bool) cacheKey {
+	k := cacheKey{gen: gen, frame: asmEmpty}
+	if full {
+		k.frame = asmFull
+	}
+	if withStats {
+		k.block = 1
+	}
+	return k
+}
+
+// assembly is one segment's validated thicket, built over the cache's
+// shared series. blocks lists every block it covers, in header order:
+// serving it reports those blocks as visited.
+type assembly struct {
+	th     *core.Thicket
+	blocks []assembledBlock
+}
+
+type assembledBlock struct {
+	key    cacheKey
+	column string
+	s      *dataframe.Series // the series th holds for the block
 }
 
 type cacheEntry struct {
 	key   cacheKey
-	s     *dataframe.Series
+	s     *dataframe.Series // block entries
+	asm   *assembly         // assembly entries
 	bytes int64
 }
 
@@ -82,7 +122,15 @@ func seriesBytes(s *dataframe.Series) int64 {
 	return total
 }
 
-// get returns a deep copy of the cached series, or nil on miss.
+// assemblyBytes estimates what an assembly holds beyond the shared
+// series it references: the call tree and the validated metadata
+// index's key lookup.
+func assemblyBytes(th *core.Thicket) int64 {
+	return int64(th.Tree.Len())*96 + int64(th.Metadata.NRows())*48
+}
+
+// get returns the cached series itself — shared, so the caller must not
+// mutate it — or nil on miss.
 func (c *columnCache) get(k cacheKey) *dataframe.Series {
 	if c.max <= 0 {
 		return nil
@@ -96,59 +144,134 @@ func (c *columnCache) get(k cacheKey) *dataframe.Series {
 	}
 	c.hits.Inc()
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).s.Copy()
+	return el.Value.(*cacheEntry).s
 }
 
-// put stores a copy of s under k, evicting least-recently-used entries
-// until the byte budget holds. A series larger than the whole budget is
-// simply not cached.
-func (c *columnCache) put(k cacheKey, s *dataframe.Series) {
+// put caches a compact copy of a freshly decoded s under k, evicting
+// least-recently-used entries until the byte budget holds, and returns
+// the block's resident series — shared, like get's — or s itself when
+// the block stays uncached (a series larger than the whole budget, or
+// caching disabled).
+func (c *columnCache) put(k cacheKey, s *dataframe.Series) *dataframe.Series {
 	if c.max <= 0 {
-		return
+		return s
 	}
-	sz := seriesBytes(s)
-	if sz > c.max {
-		return
+	ent := &cacheEntry{key: k, s: s.Copy(), bytes: seriesBytes(s)}
+	if resident := c.insert(ent); resident != nil {
+		return resident.s
+	}
+	return s
+}
+
+// assembly returns the cached assembly under k, or nil. Hits are
+// counted by the caller per served block.
+func (c *columnCache) assembly(k cacheKey) *assembly {
+	if c.max <= 0 {
+		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[k]; ok {
-		c.order.MoveToFront(el)
-		return
+	el, ok := c.items[k]
+	if !ok {
+		return nil
 	}
-	for c.used+sz > c.max {
+	c.order.MoveToFront(el)
+	return el.Value.(*cacheEntry).asm
+}
+
+// putAssembly caches a under k provided every series it was built on is
+// still the resident entry for its block — otherwise the assembly would
+// keep an uncounted column alive, and it is left uncached.
+func (c *columnCache) putAssembly(k cacheKey, a *assembly) {
+	c.insert(&cacheEntry{key: k, asm: a, bytes: assemblyBytes(a.th)})
+}
+
+// insert caches ent unless its key is already resident, and returns the
+// resident entry for the key — nil when ent is too large for the budget
+// or, for an assembly, a block it was built on is no longer resident.
+func (c *columnCache) insert(ent *cacheEntry) *cacheEntry {
+	if c.max <= 0 || ent.bytes > c.max {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[ent.key]; ok {
+		c.order.MoveToFront(el)
+		return el.Value.(*cacheEntry)
+	}
+	if !c.residentLocked(ent.asm) {
+		return nil
+	}
+	for c.used+ent.bytes > c.max {
 		back := c.order.Back()
 		if back == nil {
 			break
 		}
-		ent := back.Value.(*cacheEntry)
-		c.order.Remove(back)
-		delete(c.items, ent.key)
-		c.used -= ent.bytes
+		c.removeLocked(back)
 	}
-	ent := &cacheEntry{key: k, s: s.Copy(), bytes: sz}
-	c.items[k] = c.order.PushFront(ent)
-	c.used += sz
+	if !c.residentLocked(ent.asm) {
+		return nil // evicting for room took one of its blocks
+	}
+	c.items[ent.key] = c.order.PushFront(ent)
+	c.used += ent.bytes
+	return ent
+}
+
+// residentLocked reports whether every block an assembly (nil for a
+// block entry) was built on is still the block's cached series,
+// refreshing each one's recency.
+func (c *columnCache) residentLocked(a *assembly) bool {
+	if a == nil {
+		return true
+	}
+	for _, b := range a.blocks {
+		el, ok := c.items[b.key]
+		if !ok || el.Value.(*cacheEntry).s != b.s {
+			return false
+		}
+		c.order.MoveToFront(el)
+	}
+	return true
+}
+
+// removeLocked evicts one entry; a block's eviction takes its segment's
+// assemblies along, since they reference the block's series.
+func (c *columnCache) removeLocked(el *list.Element) {
+	ent := el.Value.(*cacheEntry)
+	c.order.Remove(el)
+	delete(c.items, ent.key)
+	c.used -= ent.bytes
+	if ent.asm != nil {
+		return
+	}
+	for _, full := range []bool{false, true} {
+		for _, withStats := range []bool{false, true} {
+			if a, ok := c.items[asmKey(ent.key.gen, full, withStats)]; ok {
+				c.removeLocked(a)
+			}
+		}
+	}
 }
 
 // dropSegment evicts every entry belonging to the segment stamped gen —
-// the compaction path: retired segments' columns leave the cache, the
-// survivors' stay warm.
+// the compaction path: retired segments' columns and assemblies leave
+// the cache, the survivors' stay warm.
 func (c *columnCache) dropSegment(gen int64) {
 	if c.max <= 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for el := c.order.Front(); el != nil; {
-		next := el.Next()
-		ent := el.Value.(*cacheEntry)
-		if ent.key.gen == gen {
-			c.order.Remove(el)
-			delete(c.items, ent.key)
-			c.used -= ent.bytes
+	var keys []cacheKey
+	for k := range c.items {
+		if k.gen == gen {
+			keys = append(keys, k)
 		}
-		el = next
+	}
+	for _, k := range keys {
+		if el, ok := c.items[k]; ok { // an earlier removal may have taken it
+			c.removeLocked(el)
+		}
 	}
 }
 

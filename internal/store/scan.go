@@ -154,11 +154,6 @@ func (v SegmentView) Columns(frame string) ([]ColumnStats, error) {
 	return out, nil
 }
 
-// ReadColumn decodes one block through the store's column cache.
-func (v SegmentView) ReadColumn(frame string, cs ColumnStats) (*dataframe.Series, error) {
-	return v.st.readBlock(context.Background(), nil, v.seg, frame, cs.blockIdx, cs.cm, cs.Key.Leaf())
-}
-
 // DictHasWord probes a string block's dictionary page for word without
 // decoding any rows: it reads the raw block, verifies the CRC, and
 // parses only the word table. Returns true — "cannot rule the word out"
@@ -208,38 +203,100 @@ func (v SegmentView) DictHasWord(frame string, cs ColumnStats, word string) (boo
 	return false, nil
 }
 
-// LoadFrame decodes the named frame, optionally projecting data columns
-// (index levels always load). Decoded blocks land in the shared column
-// cache.
-func (v SegmentView) LoadFrame(frame string, keep func(dataframe.ColKey) bool) (*dataframe.Frame, error) {
-	return v.st.loadFrame(context.Background(), nil, v.seg, frame, keep)
-}
-
-// LoadThicket materializes the full segment thicket (the survivor path).
-// withStats controls whether the stored stats frame decodes; pass true
-// only for a single-segment store, matching Store.Load.
-func (v SegmentView) LoadThicket(withStats bool) (*core.Thicket, error) {
-	return v.LoadThicketCtx(context.Background(), withStats)
-}
-
-// LoadThicketCtx is LoadThicket with a cancellation context, checked at
-// every block boundary and wired to the context's ScanObserver.
+// LoadThicketCtx returns the segment's full thicket — the survivor
+// path. It is the store's own assembly: built once per segment
+// generation over the column cache's shared series, validated once, and
+// read-only — callers gather or copy before anything leaves their
+// hands. withStats controls whether the stored stats frame decodes;
+// pass true only for a single-segment store, matching Store.Load. ctx
+// is checked at every block boundary and its ScanObserver hears about
+// every block the thicket covers, whether the assembly is built or
+// served warm.
 func (v SegmentView) LoadThicketCtx(ctx context.Context, withStats bool) (*core.Thicket, error) {
-	return v.st.loadSegment(ctx, nil, v.seg, nil, withStats)
+	return v.assembled(ctx, true, withStats)
 }
 
-// EmptyThicket builds the segment's zero-row thicket from the header
-// alone: full tree, meta/perf frames with the right schema and no rows.
-// No meta or perf block is read; with withStats the stored stats frame
-// still decodes (a pruned single-segment store must reproduce the
-// stats table the naive path carries over).
-func (v SegmentView) EmptyThicket(withStats bool) (*core.Thicket, error) {
-	return v.EmptyThicketCtx(context.Background(), withStats)
-}
-
-// EmptyThicketCtx is EmptyThicket with a cancellation context (the
-// stats-frame decode for single-segment stores is still a block read).
+// EmptyThicketCtx returns the segment's zero-row thicket — the pruned
+// path: full tree, meta/perf frames with the right schema and no rows,
+// built from the header without reading a meta or perf block. With
+// withStats the stored stats frame still decodes (a pruned
+// single-segment store must reproduce the stats table the naive path
+// carries over). Like LoadThicketCtx it returns the store's read-only
+// assembly.
 func (v SegmentView) EmptyThicketCtx(ctx context.Context, withStats bool) (*core.Thicket, error) {
+	return v.assembled(ctx, false, withStats)
+}
+
+// assembled serves the segment's full or empty thicket from its cached
+// assembly, or builds, validates and caches it. A build that fails or
+// whose context ends is never cached.
+func (v SegmentView) assembled(ctx context.Context, full, withStats bool) (*core.Thicket, error) {
+	s, seg := v.st, v.seg
+	key := asmKey(seg.gen, full, withStats)
+	if a := s.cache.assembly(key); a != nil {
+		if err := s.serveAssembly(ctx, a); err != nil {
+			return nil, err
+		}
+		return a.th, nil
+	}
+	var th *core.Thicket
+	var err error
+	if full {
+		th, err = s.loadSegment(ctx, nil, seg, nil, withStats)
+	} else {
+		th, err = v.emptyThicket(ctx, withStats)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	a := &assembly{th: th}
+	cover := func(name string, fr *dataframe.Frame) {
+		fm := seg.header.frame(name)
+		for l, cm := range fm.Levels {
+			a.blocks = append(a.blocks, assembledBlock{key: cacheKey{gen: seg.gen, frame: name, block: l},
+				column: dataframe.ColKey(cm.Key).Leaf(), s: fr.Index().Level(l)})
+		}
+		for c, cm := range fm.Cols {
+			a.blocks = append(a.blocks, assembledBlock{key: cacheKey{gen: seg.gen, frame: name, block: len(fm.Levels) + c},
+				column: dataframe.ColKey(cm.Key).Leaf(), s: fr.ColumnAt(c)})
+		}
+	}
+	if full {
+		cover(framePerf, th.PerfData)
+		cover(frameMeta_, th.Metadata)
+	}
+	if withStats {
+		cover(frameStats, th.Stats)
+	}
+	s.cache.putAssembly(key, a)
+	return th, nil
+}
+
+// serveAssembly accounts one warm use of an assembly the way building it
+// would have: every covered block is checked against ctx, reported to
+// the context's ScanObserver, and counted as a column-cache hit.
+func (s *Store) serveAssembly(ctx context.Context, a *assembly) error {
+	obs := scanObserverFrom(ctx)
+	for _, b := range a.blocks {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if obs != nil {
+			obs.BlockRead(b.key.frame, b.column)
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	s.cache.hits.Add(int64(len(a.blocks)))
+	return nil
+}
+
+// emptyThicket builds the segment's zero-row thicket from the header.
+func (v SegmentView) emptyThicket(ctx context.Context, withStats bool) (*core.Thicket, error) {
 	tree, err := v.Tree()
 	if err != nil {
 		return nil, err

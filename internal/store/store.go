@@ -428,7 +428,9 @@ func encodeSegment(th *core.Thicket) ([]byte, error) {
 }
 
 // readBlock fetches and decodes one column block, consulting the LRU
-// cache first. name and kind come from the segment header. parent is
+// cache first. The series it returns is shared with the cache: callers
+// build store-internal frames over it and hand out only gathers or
+// copies. name and kind come from the segment header. parent is
 // the enclosing loadFrame span (nil-safe); readBlock runs on parallel
 // worker goroutines, so its spans cross goroutine boundaries. The
 // block boundary is also the cancellation point: an expired ctx stops
@@ -475,8 +477,7 @@ func (s *Store) readBlock(ctx context.Context, parent *telemetry.Span, seg *segm
 	if err != nil {
 		return nil, fmt.Errorf("store: %s: segment g%d frame %s: %w", s.path, seg.gen, frame, err)
 	}
-	s.cache.put(key, series)
-	return series, nil
+	return s.cache.put(key, series), nil
 }
 
 func parseKindName(s string) (dataframe.Kind, error) {
@@ -493,8 +494,9 @@ func parseKindName(s string) (dataframe.Kind, error) {
 	return 0, fmt.Errorf("unknown kind %q", s)
 }
 
-// loadFrame decodes one frame of one segment. keep selects the data
-// columns to materialize (nil keeps all); index levels always load.
+// loadFrame decodes one frame of one segment over the cache's shared
+// series (see readBlock). keep selects the data columns to materialize
+// (nil keeps all); index levels always load.
 // Block decoding fans out across the parallel engine — blocks are
 // independent units written to fixed slots, so the result is identical
 // at any worker count.
@@ -546,9 +548,10 @@ func (s *Store) loadFrame(ctx context.Context, parent *telemetry.Span, seg *segm
 	return dataframe.NewFrameWithColIndex(ix, colKeys, decoded[len(fm.Levels):])
 }
 
-// loadSegment materializes one segment as a thicket. keepPerf projects
-// the performance-data columns; withStats controls whether the stored
-// stats frame is decoded (a projection gets the empty stats table).
+// loadSegment assembles one segment as a thicket over the cache's
+// shared series (see readBlock). keepPerf projects the performance-data
+// columns; withStats controls whether the stored stats frame is decoded
+// (a projection gets the empty stats table).
 func (s *Store) loadSegment(ctx context.Context, parent *telemetry.Span, seg *segment, keepPerf func(dataframe.ColKey) bool, withStats bool) (*core.Thicket, error) {
 	sp := parent.StartChild("store.loadSegment")
 	if sp != nil {
@@ -649,8 +652,9 @@ func (s *Store) load(ctx context.Context, keepPerf func(dataframe.ColKey) bool) 
 		thickets[i] = th
 	}
 	if len(thickets) == 1 {
-		return thickets[0], nil
+		return thickets[0].Copy(), nil
 	}
+	// The concatenation copies every input cell: nothing shared escapes.
 	th, err := core.ConcatProfiles(thickets)
 	if err != nil {
 		return nil, fmt.Errorf("store: %s: %w", s.path, err)
@@ -666,7 +670,11 @@ func (s *Store) LoadSegmentThicket(gen int64) (*core.Thicket, error) {
 	defer release()
 	for _, seg := range segs {
 		if seg.gen == gen {
-			return s.loadSegment(context.Background(), nil, seg, nil, false)
+			th, err := s.loadSegment(context.Background(), nil, seg, nil, false)
+			if err != nil {
+				return nil, err
+			}
+			return th.Copy(), nil
 		}
 	}
 	return nil, fmt.Errorf("store: %s: no live segment with generation %d", s.path, gen)
@@ -693,7 +701,7 @@ func (s *Store) Metadata() (*dataframe.Frame, error) {
 		frames[i] = f
 	}
 	if len(frames) == 1 {
-		return frames[0], nil
+		return frames[0].Copy(), nil
 	}
 	out, err := dataframe.ConcatRowsOuter(frames...)
 	if err != nil {
