@@ -79,9 +79,16 @@ func TestEndToEndWatchdogSelfProfile(t *testing.T) {
 		}
 	}
 
-	// Warm the per-endpoint baseline over fast intervals.
+	// Warm the per-endpoint baseline over fast intervals: in-process and
+	// over a second's worth of requests per tick (telemetry on), so a
+	// stall of the machine shorter than that — another process, the
+	// hypervisor — averages out instead of pushing an interval's mean
+	// past the 1.5× regression factor.
+	h := srv.Handler()
 	for i := 0; i < 3; i++ {
-		hit(5)
+		for j := 0; j < 16384; j++ {
+			h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, endpoint, nil))
+		}
 		if flagged := wd.Tick(); len(flagged) != 0 {
 			t.Fatalf("warmup flagged %v", flagged)
 		}

@@ -186,13 +186,36 @@ func (t *Tree) Paths() [][]string {
 
 // Copy returns a deep copy of the tree.
 func (t *Tree) Copy() *Tree {
-	out := New()
-	for _, n := range t.Nodes() {
-		if _, err := out.AddPath(n.Path()); err != nil {
-			panic(err) // paths from a valid tree are non-empty
+	out := &Tree{byKey: make(map[string]*Node, t.nNodes)}
+	out.merge(t)
+	return out
+}
+
+// merge adds every node of src that t lacks, walking src in pre-order:
+// a node's parent is met first, so each new node attaches to its
+// parent's counterpart and reuses its own immutable path key — no path
+// is re-encoded. The result is AddPath of every src path in pre-order.
+func (t *Tree) merge(src *Tree) {
+	var walk func(n, parent *Node)
+	walk = func(n, parent *Node) {
+		cur, ok := t.byKey[n.pathKey]
+		if !ok {
+			cur = &Node{name: n.name, parent: parent, pathKey: n.pathKey, depth: n.depth}
+			t.byKey[n.pathKey] = cur
+			t.nNodes++
+			if parent == nil {
+				t.roots = append(t.roots, cur)
+			} else {
+				parent.children = append(parent.children, cur)
+			}
+		}
+		for _, c := range n.children {
+			walk(c, cur)
 		}
 	}
-	return out
+	for _, r := range src.roots {
+		walk(r, nil)
+	}
 }
 
 // SortChildren orders every node's children (and the roots) by name,
@@ -231,13 +254,8 @@ func (t *Tree) Equal(o *Tree) bool {
 func Union(trees ...*Tree) *Tree {
 	out := New()
 	for _, t := range trees {
-		if t == nil {
-			continue
-		}
-		for _, n := range t.Nodes() {
-			if _, err := out.AddPath(n.Path()); err != nil {
-				panic(err)
-			}
+		if t != nil {
+			out.merge(t)
 		}
 	}
 	return out

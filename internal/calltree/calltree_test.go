@@ -1,6 +1,8 @@
 package calltree
 
 import (
+	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -307,5 +309,87 @@ func TestDOT(t *testing.T) {
 	bare := tr.DOT("t", nil)
 	if !strings.Contains(bare, "BAR") {
 		t.Error("bare DOT broken")
+	}
+}
+
+// refUnion is the AddPath-based union the structural merge replaced:
+// every node's root path re-added in pre-order. With one tree it is the
+// old Copy.
+func refUnion(trees ...*Tree) *Tree {
+	out := New()
+	for _, t := range trees {
+		for _, n := range t.Nodes() {
+			out.MustAddPath(n.Path()...)
+		}
+	}
+	return out
+}
+
+// randomTree grows a tree from random paths over names that contain the
+// encoding's separators and digits, so homonyms and look-alike keys
+// ("1:a/" vs "1", ":a/") meet.
+func randomTree(rng *rand.Rand) *Tree {
+	names := []string{"a", "b", "1", "12", "a/b", "/", ":", "1:", "2:ab", "x:1/y", ""}
+	t := New()
+	for p := rng.Intn(12); p >= 0; p-- {
+		path := make([]string, 1+rng.Intn(5))
+		for i := range path {
+			path[i] = names[rng.Intn(len(names))]
+		}
+		t.MustAddPath(path...)
+	}
+	return t
+}
+
+// sameShape reports whether two trees agree on size, root order, every
+// node's child order, keys and paths.
+func sameShape(a, b *Tree) bool {
+	if a.Len() != b.Len() || len(a.Roots()) != len(b.Roots()) {
+		return false
+	}
+	an, bn := a.Nodes(), b.Nodes()
+	if len(an) != len(bn) {
+		return false
+	}
+	for i := range an {
+		x, y := an[i], bn[i]
+		if x.Key() != y.Key() || x.Name() != y.Name() || x.Depth() != y.Depth() || len(x.Children()) != len(y.Children()) {
+			return false
+		}
+		if (x.Parent() == nil) != (y.Parent() == nil) || x.Parent() != nil && x.Parent().Key() != y.Parent().Key() {
+			return false
+		}
+		if b.NodeByKey(x.Key()) != y {
+			return false
+		}
+	}
+	for i, r := range a.Roots() {
+		if r.Key() != b.Roots()[i].Key() {
+			return false
+		}
+	}
+	return reflect.DeepEqual(a.Paths(), b.Paths())
+}
+
+func TestStructuralCopyAndUnionMatchAddPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		trees := make([]*Tree, 1+rng.Intn(4))
+		for i := range trees {
+			trees[i] = randomTree(rng)
+		}
+		if got, want := trees[0].Copy(), refUnion(trees[0]); !sameShape(got, want) {
+			t.Fatalf("trial %d: Copy differs from the AddPath copy:\n%s\nwant\n%s", trial, got.Render(nil), want.Render(nil))
+		}
+		if got, want := Union(trees...), refUnion(trees...); !sameShape(got, want) {
+			t.Fatalf("trial %d: Union differs from the AddPath union:\n%s\nwant\n%s", trial, got.Render(nil), want.Render(nil))
+		}
+		// The copy shares no node with its source.
+		c := trees[0].Copy()
+		for _, n := range c.Nodes() {
+			if trees[0].NodeByKey(n.Key()) == n {
+				t.Fatalf("trial %d: Copy shares node %q", trial, n.Key())
+			}
+		}
 	}
 }

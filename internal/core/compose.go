@@ -84,46 +84,77 @@ func Compose(groups []string, thickets []*Thicket) (*Thicket, error) {
 }
 
 // ConcatProfiles vertically concatenates thickets over the union of
-// their profiles (same metric schema required): the trees are unioned
-// and the metadata/performance tables stacked. Profile-index values must
-// be distinct across inputs.
+// their profiles: the trees are unioned and the metadata/performance
+// tables stacked under the union of their schemas (missing cells are
+// null). Profile-index values must be distinct across inputs. It is
+// Gather's all-rows case.
 func ConcatProfiles(thickets []*Thicket) (*Thicket, error) {
 	if len(thickets) == 0 {
 		return nil, fmt.Errorf("core: no thickets")
 	}
-	first := thickets[0]
-	for i, th := range thickets[1:] {
-		if th.profileLevel != first.profileLevel {
-			return nil, fmt.Errorf("core: thicket %d uses profile level %q, want %q", i+1, th.profileLevel, first.profileLevel)
-		}
-	}
 	trees := make([]*calltree.Tree, len(thickets))
-	perfs := make([]*dataframe.Frame, len(thickets))
-	metas := make([]*dataframe.Frame, len(thickets))
+	parts := make([]Part, len(thickets))
 	for i, th := range thickets {
 		trees[i] = th.Tree
-		perfs[i] = th.PerfData
-		metas[i] = th.Metadata
+		parts[i] = Part{Thicket: th}
 	}
-	// Outer concatenation: metric and metadata schemas may differ across
-	// inputs (multi-tool ensembles); missing cells become nulls.
-	perf, err := dataframe.ConcatRowsOuter(perfs...)
+	return Gather(Layout{Tree: calltree.Union(trees...), ProfileLevel: thickets[0].profileLevel}, parts, nil)
+}
+
+// Layout fixes what a gathered thicket looks like before any row is
+// copied: the call tree it adopts, its profile level, and optionally the
+// perf-data and metadata schemas (nil resolves one from the parts'
+// frames, in part order).
+type Layout struct {
+	Tree         *calltree.Tree
+	ProfileLevel string
+	Perf, Meta   *dataframe.Schema
+}
+
+// Part is one input of Gather: a thicket and the rows of it to keep, as
+// ascending selections over its perf data and its metadata (nil keeps
+// every row).
+type Part struct {
+	Thicket    *Thicket
+	Perf, Meta dataframe.Sel
+}
+
+// Gather builds one thicket from row selections of parts: each frame is
+// one dataframe.ConcatRowsOuter, so every selected cell is copied once
+// and nothing of a part is shared with the result. The result adopts
+// lay.Tree and stats (nil gets the empty stats table over the tree).
+// Profile-index values must be distinct across the selected metadata.
+func Gather(lay Layout, parts []Part, stats *dataframe.Frame) (*Thicket, error) {
+	perfs := make([]*dataframe.Frame, len(parts))
+	metas := make([]*dataframe.Frame, len(parts))
+	perfSels := make([]dataframe.Sel, len(parts))
+	metaSels := make([]dataframe.Sel, len(parts))
+	for i, p := range parts {
+		if p.Thicket.profileLevel != lay.ProfileLevel {
+			return nil, fmt.Errorf("core: thicket %d uses profile level %q, want %q", i, p.Thicket.profileLevel, lay.ProfileLevel)
+		}
+		perfs[i], metas[i] = p.Thicket.PerfData, p.Thicket.Metadata
+		perfSels[i], metaSels[i] = p.Perf, p.Meta
+	}
+	perf, err := dataframe.ConcatRowsOuter(lay.Perf, perfs, perfSels)
 	if err != nil {
 		return nil, fmt.Errorf("core: perf data: %w", err)
 	}
-	meta, err := dataframe.ConcatRowsOuter(metas...)
+	meta, err := dataframe.ConcatRowsOuter(lay.Meta, metas, metaSels)
 	if err != nil {
 		return nil, fmt.Errorf("core: metadata: %w", err)
 	}
 	if meta.Index().HasDuplicates() {
 		return nil, fmt.Errorf("core: concatenated thickets share profile-index values")
 	}
-	tree := calltree.Union(trees...)
+	if stats == nil {
+		stats = emptyStats(lay.Tree)
+	}
 	return &Thicket{
-		Tree:         tree,
+		Tree:         lay.Tree,
 		PerfData:     perf,
 		Metadata:     meta,
-		Stats:        emptyStats(tree),
-		profileLevel: first.profileLevel,
+		Stats:        stats,
+		profileLevel: lay.ProfileLevel,
 	}, nil
 }

@@ -70,6 +70,23 @@ func (t *Thicket) ProfileLevelName() string { return t.profileLevel }
 // in the data tables.
 func nodePath(n *calltree.Node) string { return n.PathString() }
 
+// nodePaths renders every node's nodePath in tree pre-order, each one
+// extending its parent's instead of re-joining the whole root path.
+func nodePaths(tree *calltree.Tree) []string {
+	out := make([]string, 0, tree.Len())
+	var walk func(n *calltree.Node, path string)
+	walk = func(n *calltree.Node, path string) {
+		out = append(out, path)
+		for _, c := range n.Children() {
+			walk(c, path+"/"+c.Name())
+		}
+	}
+	for _, r := range tree.Roots() {
+		walk(r, r.Name())
+	}
+	return out
+}
+
 // FromProfiles composes a set of profiles into one thicket (paper
 // §3.2.1): the call trees are unioned on node identity, each profile
 // receives a profile index (metadata hash by default), and the three
@@ -261,12 +278,7 @@ func reorderColumns(f *dataframe.Frame, order []string) (*dataframe.Frame, error
 // emptyStats builds the (node)-indexed empty statistics frame covering
 // every tree node in pre-order.
 func emptyStats(tree *calltree.Tree) *dataframe.Frame {
-	nodes := tree.Nodes()
-	names := make([]string, len(nodes))
-	for i, n := range nodes {
-		names[i] = nodePath(n)
-	}
-	return dataframe.MustFrame(dataframe.MustIndex(dataframe.NewStringSeries(NodeLevel, names)))
+	return dataframe.MustFrame(dataframe.MustIndex(dataframe.NewStringSeries(NodeLevel, nodePaths(tree))))
 }
 
 // Profiles returns the distinct profile-index values in metadata order.
@@ -279,14 +291,7 @@ func (t *Thicket) NumProfiles() int { return t.Metadata.NRows() }
 
 // NodePaths returns the node index values (root-path strings) in tree
 // pre-order.
-func (t *Thicket) NodePaths() []string {
-	nodes := t.Tree.Nodes()
-	out := make([]string, len(nodes))
-	for i, n := range nodes {
-		out[i] = nodePath(n)
-	}
-	return out
-}
+func (t *Thicket) NodePaths() []string { return nodePaths(t.Tree) }
 
 // NodeByPathString resolves a "/"-joined node path back to the tree node.
 func (t *Thicket) NodeByPathString(path string) *calltree.Node {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/calltree"
 	"repro/internal/dataframe"
+	"repro/internal/parallel"
 	"repro/internal/query"
 	"repro/internal/stats"
 )
@@ -136,26 +137,99 @@ type GroupedThicket struct {
 
 // GroupBy partitions the thicket by unique combinations of values in the
 // given metadata columns, returning one new thicket per combination
-// ordered by key (paper §4.1.2, Figure 7).
+// ordered by key (paper §4.1.2, Figure 7). A profile joins every group
+// whose key its MetaRow values Equal column by column — exactly the
+// per-group FilterMetadata — but the perf→metadata join runs once and
+// the perf rows split across groups in one pass.
 func (t *Thicket) GroupBy(columns ...string) ([]GroupedThicket, error) {
-	groups, err := t.Metadata.GroupBy(columns...)
+	keys, _, err := t.Metadata.GroupRows(columns...)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]GroupedThicket, 0, len(groups))
-	for _, g := range groups {
-		g := g
-		sub := t.FilterMetadata(func(m MetaRow) bool {
-			for ci, col := range columns {
-				if !m.Value(col).Equal(g.Key[ci]) {
-					return false
+	// Resolve each column once the way MetaRow.Value does per row: the
+	// data column, falling back to a same-named index level on nulls.
+	type source struct{ col, lvl *dataframe.Series }
+	srcs := make([]source, len(columns))
+	for ci, name := range columns {
+		srcs[ci].col, _ = t.Metadata.ColumnByName(name)
+		srcs[ci].lvl = t.Metadata.Index().LevelByName(name)
+	}
+	byKey := make(map[string][]int, len(keys))
+	for g, key := range keys {
+		k := equalKey(key)
+		byKey[k] = append(byKey[k], g)
+	}
+	nmeta := t.Metadata.NRows()
+	metaRows := make([][]int, len(keys))
+	groupsOf := make([][]int, nmeta)
+	vals := make([]dataframe.Value, len(columns))
+	for r := 0; r < nmeta; r++ {
+		for ci, s := range srcs {
+			v := dataframe.Null(dataframe.String)
+			if s.col != nil {
+				v = s.col.At(r)
+			}
+			if v.IsNull() && s.lvl != nil {
+				if iv := s.lvl.At(r); !iv.IsNull() {
+					v = iv
 				}
 			}
-			return true
-		})
-		out = append(out, GroupedThicket{Key: g.Key, Columns: columns, Thicket: sub})
+			vals[ci] = v
+		}
+		groupsOf[r] = byKey[equalKey(vals)]
+		for _, g := range groupsOf[r] {
+			metaRows[g] = append(metaRows[g], r)
+		}
 	}
+	perfRows := make([][]int, len(keys))
+	for p, m := range t.MetaPositions() {
+		if m >= 0 {
+			for _, g := range groupsOf[m] {
+				perfRows[g] = append(perfRows[g], p)
+			}
+		}
+	}
+	out := make([]GroupedThicket, len(keys))
+	parallel.For(len(keys), func(g int) {
+		sub := t.copyWith(t.Tree.Copy(), t.PerfData.SelectRows(perfRows[g]), t.Metadata.SelectRows(metaRows[g]), t.Stats.Copy())
+		out[g] = GroupedThicket{Key: keys[g], Columns: columns, Thicket: sub}
+	})
 	return out, nil
+}
+
+// equalKey renders a composite key so that two keys render alike exactly
+// when Value.Equal holds column by column: the kind is spelled out (typed
+// nulls differ across kinds) and a zero float loses its sign (−0 Equals
+// +0).
+func equalKey(vals []dataframe.Value) string {
+	canon := make([]dataframe.Value, len(vals))
+	kinds := make([]byte, len(vals))
+	for i, v := range vals {
+		kinds[i] = byte(v.Kind())
+		if v.Kind() == dataframe.Float && !v.IsNull() && v.Float() == 0 {
+			v = dataframe.Float64(0)
+		}
+		canon[i] = v
+	}
+	return string(kinds) + dataframe.EncodeKey(canon)
+}
+
+// MetaPositions returns, for every perf row, the position of the
+// metadata row holding its profile, or -1 — the join FilterMetadata's
+// semi-join answers, after which any metadata selection becomes a perf
+// selection in one array pass. Metadata profiles are unique in a valid
+// thicket; a multi-level metadata key never equals a single profile
+// value, so every position is -1 then.
+func (t *Thicket) MetaPositions() []int32 {
+	mix := t.Metadata.Index()
+	if mix.NLevels() != 1 {
+		out := make([]int32, t.PerfData.NRows())
+		for i := range out {
+			out[i] = -1
+		}
+		return out
+	}
+	return dataframe.JoinPositions(t.PerfData.Index().LevelByName(t.profileLevel), mix.Level(0))
 }
 
 // Query applies a call-path query (paper §4.1.3, Figure 8) and returns a

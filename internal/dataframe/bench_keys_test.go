@@ -206,7 +206,7 @@ func BenchmarkConcatRowsOuterNew(b *testing.B) {
 	benchSequential(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := ConcatRowsOuter(frames...); err != nil {
+		if _, err := ConcatRowsOuter(nil, frames, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package dataframe
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -17,7 +18,8 @@ func (k ColKey) String() string { return strings.Join(k, "/") }
 func (k ColKey) encode() string {
 	var sb strings.Builder
 	for _, p := range k {
-		sb.WriteString(fmt.Sprintf("%d:", len(p)))
+		sb.WriteString(strconv.Itoa(len(p)))
+		sb.WriteByte(':')
 		sb.WriteString(p)
 		sb.WriteByte('|')
 	}
@@ -194,12 +196,9 @@ func (ci *ColIndex) Select(positions []int) *ColIndex {
 
 // Copy returns a deep copy.
 func (ci *ColIndex) Copy() *ColIndex {
-	out, err := NewColIndex(ci.Keys())
-	if err != nil {
-		panic(err)
-	}
-	if out.NCols() == 0 {
-		out.nlevels = ci.nlevels
+	out := &ColIndex{nlevels: ci.nlevels, keys: ci.Keys(), lookup: make(map[string]int, len(ci.lookup))}
+	for enc, pos := range ci.lookup {
+		out.lookup[enc] = pos
 	}
 	return out
 }

@@ -64,3 +64,35 @@ func (d *Dict) Code(word string) (uint32, bool) {
 	c, ok := d.code[word]
 	return c, ok
 }
+
+// wordTable collects a dictionary's words before anyone shares it: no
+// lock and no snapshot per word; dict publishes the result once.
+type wordTable struct {
+	words []string
+	code  map[string]uint32
+}
+
+func (w *wordTable) intern(word string) uint32 {
+	if c, ok := w.code[word]; ok {
+		return c
+	}
+	if w.code == nil {
+		w.code = make(map[string]uint32)
+	}
+	c := uint32(len(w.words))
+	w.words = append(w.words, word)
+	w.code[word] = c
+	return c
+}
+
+// dict adopts the collected words as a dictionary; w must not be used
+// afterwards.
+func (w *wordTable) dict() *Dict {
+	if w.code == nil {
+		return NewDict()
+	}
+	d := &Dict{code: w.code, arr: w.words}
+	snap := w.words
+	d.words.Store(&snap)
+	return d
+}

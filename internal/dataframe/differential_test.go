@@ -492,7 +492,7 @@ func TestDifferentialConcatRowsOuter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ConcatRowsOuter(frames...)
+		got, err := ConcatRowsOuter(nil, frames, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

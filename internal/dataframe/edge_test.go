@@ -123,7 +123,7 @@ func TestConcatRowsOuterAllNull(t *testing.T) {
 		MustIndex(NewStringSeries("node", []string{"z"})),
 		NewFloatSeries("time", []float64{3}),
 	)
-	cat, err := ConcatRowsOuter(a, b)
+	cat, err := ConcatRowsOuter(nil, []*Frame{a, b}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestConcatRowsOuterAllNull(t *testing.T) {
 		NewFloatSeries("time", []float64{4}),
 		allNullSeries("extra", String, 1),
 	)
-	if _, err := ConcatRowsOuter(a, c); err == nil || !strings.Contains(err.Error(), "conflicting kinds") {
+	if _, err := ConcatRowsOuter(nil, []*Frame{a, c}, nil); err == nil || !strings.Contains(err.Error(), "conflicting kinds") {
 		t.Fatalf("conflicting all-null kinds: err = %v", err)
 	}
 }
@@ -170,7 +170,7 @@ func TestConcatRowsOuterDuplicateKeys(t *testing.T) {
 		MustIndex(NewStringSeries("node", []string{"x"})),
 		NewFloatSeries("time", []float64{4}),
 	)
-	cat, err := ConcatRowsOuter(a, b)
+	cat, err := ConcatRowsOuter(nil, []*Frame{a, b}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestConcatRowsOuterEmptyFrames(t *testing.T) {
 		MustIndex(NewStringSeries("node", []string{"x"})),
 		NewFloatSeries("time", []float64{1}),
 	)
-	cat, err := ConcatRowsOuter(empty, a, empty)
+	cat, err := ConcatRowsOuter(nil, []*Frame{empty, a, empty}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestConcatRowsOuterEmptyFrames(t *testing.T) {
 	}
 
 	// All inputs empty: a valid zero-row union.
-	cat, err = ConcatRowsOuter(empty, empty)
+	cat, err = ConcatRowsOuter(nil, []*Frame{empty, empty}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestConcatRowsOuterEmptyFrames(t *testing.T) {
 		MustIndex(NewStringSeries("node", nil)),
 		NewStringSeries("time", nil),
 	)
-	if _, err := ConcatRowsOuter(a, conflict); err == nil {
+	if _, err := ConcatRowsOuter(nil, []*Frame{a, conflict}, nil); err == nil {
 		t.Fatal("zero-row kind conflict not detected")
 	}
 }

@@ -568,7 +568,7 @@ func TestConcatRowsOuter(t *testing.T) {
 	b := MustFrame(MustIndex(NewStringSeries("node", []string{"y"})),
 		NewFloatSeries("time", []float64{2}),
 		NewIntSeries("reps", []int64{7}))
-	cat, err := ConcatRowsOuter(a, b)
+	cat, err := ConcatRowsOuter(nil, []*Frame{a, b}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -587,13 +587,13 @@ func TestConcatRowsOuter(t *testing.T) {
 	// Kind conflicts rejected.
 	c := MustFrame(MustIndex(NewStringSeries("node", []string{"z"})),
 		NewStringSeries("time", []string{"oops"}))
-	if _, err := ConcatRowsOuter(a, c); err == nil {
+	if _, err := ConcatRowsOuter(nil, []*Frame{a, c}, nil); err == nil {
 		t.Error("conflicting column kinds must error")
 	}
 	// Index name mismatch rejected.
 	d := MustFrame(MustIndex(NewStringSeries("region", []string{"z"})),
 		NewFloatSeries("time", []float64{3}))
-	if _, err := ConcatRowsOuter(a, d); err == nil {
+	if _, err := ConcatRowsOuter(nil, []*Frame{a, d}, nil); err == nil {
 		t.Error("index level name mismatch must error")
 	}
 }
@@ -659,7 +659,7 @@ func TestConcatRowsOuterRowCountProperty(t *testing.T) {
 			return MustFrame(RangeIndex("i", len(vals)), NewFloatSeries(col, data))
 		}
 		fa, fb := mk(a, "x"), mk(b, "y")
-		cat, err := ConcatRowsOuter(fa, fb)
+		cat, err := ConcatRowsOuter(nil, []*Frame{fa, fb}, nil)
 		if err != nil {
 			return false
 		}

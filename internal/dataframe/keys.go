@@ -411,43 +411,37 @@ func translateCodes(src coded, find func(Value) (uint32, bool)) []uint32 {
 	return tr
 }
 
-// ---- semi-join ---------------------------------------------------------
+// ---- semi-join and join positions ------------------------------------
 
-// SemiJoin returns, ascending, the positions of probe rows whose value
-// equals the value of some build row listed in buildRows — the row
-// selection a filter on one table induces on a table that references it
-// (metadata rows → performance-data rows). Equality is EncodeKey
-// identity: kinds never equal each other, every null (a NaN float
-// included) equals every other null, and −0 differs from +0. The build
-// side reduces to per-row codes; probe rows map into that code space
-// with one lookup per distinct word (strings) or one intern-map probe
-// per row (numbers), so the scan does no string traffic and keeps no
-// per-row scratch.
-func SemiJoin(probe, build *Series, buildRows []int) []int {
-	bc := encodeSeries(build)
-	defer bc.release()
-	want := make([]bool, int(bc.space)+1)
-	for _, r := range buildRows {
-		want[bc.codes[r]] = true
-	}
-	// A shared dictionary may have grown since build was coded; words
-	// interned later cannot be among the build rows.
-	hit := func(c uint32, ok bool) bool { return ok && int(c) < len(want) && want[c] }
+// joinCodes maps every probe row into the coded build column's code
+// space: the code of the equal build value, or absentID. Equality is
+// EncodeKey identity: kinds never equal each other, every null (a NaN
+// float included) equals every other null, and −0 differs from +0.
+// String probes look up once per distinct word, numbers probe the
+// build's intern map once per row; no string traffic, no per-row
+// scratch. The result is pooled: putU32 it when done.
+func joinCodes(probe, build *Series, bc coded) []uint32 {
 	n := probe.Len()
-	var out []int
+	out := getU32(n)
+	// A shared dictionary may have grown since build was coded; words
+	// interned later cannot be among its rows.
+	code := func(c uint32, ok bool) uint32 {
+		if !ok || c > bc.space {
+			return absentID
+		}
+		return c
+	}
 	switch {
 	case probe.kind == String:
-		keep := make([]bool, probe.dict.Len())
-		for c := range keep {
-			keep[c] = hit(bc.find(Str(probe.dict.Word(uint32(c)))))
+		tr := make([]uint32, probe.dict.Len())
+		for c := range tr {
+			tr[c] = code(bc.find(Str(probe.dict.Word(uint32(c)))))
 		}
 		for r := 0; r < n; r++ {
 			if probe.null[r] {
-				if want[nullCode] {
-					out = append(out, r)
-				}
-			} else if keep[probe.sc[r]] {
-				out = append(out, r)
+				out[r] = nullCode
+			} else {
+				out[r] = tr[probe.sc[r]]
 			}
 		}
 	case probe.kind == build.kind && bc.scratch != nil:
@@ -461,15 +455,59 @@ func SemiJoin(probe, build *Series, buildRows []int) []int {
 			case !math.IsNaN(probe.f[r]):
 				c, ok = bc.scratch[math.Float64bits(probe.f[r])]
 			}
-			if hit(c, ok) {
-				out = append(out, r)
-			}
+			out[r] = code(c, ok)
 		}
 	default: // booleans and mismatched kinds
 		for r := 0; r < n; r++ {
-			if hit(bc.find(probe.At(r))) {
-				out = append(out, r)
-			}
+			out[r] = code(bc.find(probe.At(r)))
+		}
+	}
+	return out
+}
+
+// SemiJoin returns, ascending, the positions of probe rows whose value
+// equals the value of some build row listed in buildRows — the row
+// selection a filter on one table induces on a table that references it
+// (metadata rows → performance-data rows). Equality is joinCodes'.
+func SemiJoin(probe, build *Series, buildRows []int) []int {
+	bc := encodeSeries(build)
+	defer bc.release()
+	want := make([]bool, int(bc.space)+1)
+	for _, r := range buildRows {
+		want[bc.codes[r]] = true
+	}
+	codes := joinCodes(probe, build, bc)
+	defer putU32(codes)
+	var out []int
+	for r, c := range codes {
+		if c != absentID && want[c] {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// JoinPositions returns, for every probe row, the first build row whose
+// value equals it (joinCodes' equality), or -1 — the position join from
+// performance-data rows to their metadata rows, after which any metadata
+// row selection becomes a performance-data selection in one array pass.
+func JoinPositions(probe, build *Series) []int32 {
+	bc := encodeSeries(build)
+	defer bc.release()
+	first := make([]int32, int(bc.space)+1)
+	for c := range first {
+		first[c] = -1
+	}
+	for r := len(bc.codes) - 1; r >= 0; r-- {
+		first[bc.codes[r]] = int32(r)
+	}
+	codes := joinCodes(probe, build, bc)
+	defer putU32(codes)
+	out := make([]int32, len(codes))
+	for r, c := range codes {
+		out[r] = -1
+		if c != absentID {
+			out[r] = first[c]
 		}
 	}
 	return out

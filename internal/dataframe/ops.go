@@ -147,12 +147,11 @@ func (f *Frame) partitionByKey(cols []*Series) (buckets [][]int, keys [][]Value)
 }
 
 // materializeGroups builds the per-group sub-frames (in parallel; each
-// group writes only its own slot). order holds bucket ids.
-func (f *Frame) materializeGroups(buckets [][]int, keys [][]Value, order []int) []Group {
-	groups := make([]Group, len(order))
-	parallel.For(len(order), func(i int) {
-		id := order[i]
-		groups[i] = Group{Key: keys[id], Frame: f.SelectRows(buckets[id])}
+// group writes only its own slot).
+func (f *Frame) materializeGroups(buckets [][]int, keys [][]Value) []Group {
+	groups := make([]Group, len(keys))
+	parallel.For(len(keys), func(i int) {
+		groups[i] = Group{Key: keys[i], Frame: f.SelectRows(buckets[i])}
 	})
 	return groups
 }
@@ -162,6 +161,16 @@ func (f *Frame) materializeGroups(buckets [][]int, keys [][]Value, order []int) 
 // This implements the mechanism behind thicket.GroupBy (paper §4.1.2,
 // Figure 7).
 func (f *Frame) GroupBy(names ...string) ([]Group, error) {
+	keys, rows, err := f.GroupRows(names...)
+	if err != nil {
+		return nil, err
+	}
+	return f.materializeGroups(rows, keys), nil
+}
+
+// GroupRows is GroupBy without the per-group frames: the group keys,
+// ordered by key, and each group's ascending row positions.
+func (f *Frame) GroupRows(names ...string) (keys [][]Value, rows [][]int, err error) {
 	sp := telemetry.StartOp("dataframe.GroupBy")
 	if sp != nil {
 		sp.SetAttr("rows", itoa(f.NRows()))
@@ -172,19 +181,24 @@ func (f *Frame) GroupBy(names ...string) ([]Group, error) {
 	for i, n := range names {
 		c, err := f.seriesByName(n)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		cols[i] = c
 	}
-	buckets, keys := f.partitionByKey(cols)
-	order := make([]int, len(keys))
+	buckets, bucketKeys := f.partitionByKey(cols)
+	order := make([]int, len(bucketKeys))
 	for i := range order {
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool {
-		return CompareKeys(keys[order[a]], keys[order[b]]) < 0
+		return CompareKeys(bucketKeys[order[a]], bucketKeys[order[b]]) < 0
 	})
-	return f.materializeGroups(buckets, keys, order), nil
+	keys = make([][]Value, len(order))
+	rows = make([][]int, len(order))
+	for i, id := range order {
+		keys[i], rows[i] = bucketKeys[id], buckets[id]
+	}
+	return keys, rows, nil
 }
 
 // GroupByIndexLevel partitions rows by unique values of one index level,
@@ -202,11 +216,7 @@ func (f *Frame) GroupByIndexLevel(level string) ([]Group, error) {
 		return nil, fmt.Errorf("dataframe: no index level %q", level)
 	}
 	buckets, keys := f.partitionByKey([]*Series{lv})
-	order := make([]int, len(keys))
-	for i := range order {
-		order[i] = i
-	}
-	return f.materializeGroups(buckets, keys, order), nil
+	return f.materializeGroups(buckets, keys), nil
 }
 
 // ConcatRows vertically concatenates frames with identical column keys and
@@ -652,80 +662,4 @@ func (f *Frame) Pivot(rowName, colName, valueName string, agg func([]float64) fl
 		columns[ci] = NewFloatSeries(colKeys[ci].String(), data)
 	})
 	return NewFrame(ix, columns...)
-}
-
-// ConcatRowsOuter vertically concatenates frames taking the union of
-// their column keys: cells absent from an input are null. Index level
-// names must match. Column order is first-appearance across inputs.
-// Appends run column-at-a-time in bulk.
-func ConcatRowsOuter(frames ...*Frame) (*Frame, error) {
-	if len(frames) == 0 {
-		return nil, fmt.Errorf("dataframe: ConcatRowsOuter requires at least one frame")
-	}
-	sp := telemetry.StartOp("dataframe.ConcatRowsOuter")
-	if sp != nil {
-		sp.SetAttr("frames", itoa(len(frames)))
-		defer sp.End()
-	}
-	first := frames[0]
-	for i, f := range frames[1:] {
-		if f.index.NLevels() != first.index.NLevels() {
-			return nil, fmt.Errorf("dataframe: frame %d has %d index levels, want %d", i+1, f.index.NLevels(), first.index.NLevels())
-		}
-		for l, name := range f.index.Names() {
-			if name != first.index.Names()[l] {
-				return nil, fmt.Errorf("dataframe: frame %d index level %d is %q, want %q", i+1, l, name, first.index.Names()[l])
-			}
-		}
-	}
-	// Union of column keys with kinds (first wins; conflicts error).
-	var keys []ColKey
-	kinds := map[string]Kind{}
-	seen := map[string]bool{}
-	for _, f := range frames {
-		for c := 0; c < f.NCols(); c++ {
-			k := f.cols.Key(c)
-			enc := k.encode()
-			if seen[enc] {
-				if kinds[enc] != f.data[c].Kind() {
-					return nil, fmt.Errorf("dataframe: column %v has conflicting kinds %s and %s", k, kinds[enc], f.data[c].Kind())
-				}
-				continue
-			}
-			seen[enc] = true
-			kinds[enc] = f.data[c].Kind()
-			keys = append(keys, k.Copy())
-		}
-	}
-	// Build output frame column-at-a-time.
-	levels := make([]*Series, first.index.NLevels())
-	for l := range levels {
-		levels[l] = NewSeries(first.index.Names()[l], first.index.Level(l).Kind())
-	}
-	cols := make([]*Series, len(keys))
-	for i, k := range keys {
-		cols[i] = NewSeries(k.Leaf(), kinds[k.encode()])
-	}
-	for _, f := range frames {
-		for l := range levels {
-			if err := levels[l].AppendSeries(f.index.Level(l)); err != nil {
-				return nil, err
-			}
-		}
-		for i, k := range keys {
-			pos := f.cols.Find(k)
-			if pos < 0 {
-				cols[i].AppendNulls(f.NRows())
-				continue
-			}
-			if err := cols[i].AppendSeries(f.data[pos]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	ix, err := NewIndex(levels...)
-	if err != nil {
-		return nil, err
-	}
-	return NewFrameWithColIndex(ix, keys, cols)
 }

@@ -48,10 +48,12 @@ func NewIntSeries(name string, data []int64) *Series {
 
 // NewStringSeries builds a string series from data.
 func NewStringSeries(name string, data []string) *Series {
-	s := &Series{name: name, kind: String, dict: NewDict(), sc: make([]uint32, len(data)), null: make([]bool, len(data))}
+	s := &Series{name: name, kind: String, sc: make([]uint32, len(data)), null: make([]bool, len(data))}
+	var w wordTable
 	for idx, v := range data {
-		s.sc[idx] = s.dict.Intern(v)
+		s.sc[idx] = w.intern(v)
 	}
+	s.dict = w.dict()
 	return s
 }
 

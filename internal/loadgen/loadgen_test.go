@@ -215,18 +215,18 @@ func TestSpecValidate(t *testing.T) {
 		t.Fatalf("mixed spec invalid: %v", err)
 	}
 	for name, mutate := range map[string]func(*Spec){
-		"zero duration":   func(s *Spec) { s.Duration = 0 },
-		"no clients":      func(s *Spec) { s.Clients = nil },
-		"dup client":      func(s *Spec) { s.Clients[1].Name = s.Clients[0].Name },
-		"dup class":       func(s *Spec) { s.Classes[1].Name = s.Classes[0].Name },
-		"unknown class":   func(s *Spec) { s.Clients[0].Class = "platinum" },
-		"bad arrival":     func(s *Spec) { s.Clients[0].Arrival.Kind = "uniform" },
-		"zero rate":       func(s *Spec) { s.Clients[0].Arrival.RatePerSec = 0 },
-		"bad workload":    func(s *Spec) { s.Clients[0].Workload = "chaotic" },
-		"unnamed client":  func(s *Spec) { s.Clients[0].Name = "" },
-		"unnamed class":   func(s *Spec) { s.Classes[0].Name = "" },
-		"negative rate":   func(s *Spec) { s.Clients[2].Arrival.RatePerSec = -5 },
-		"inf rate":        func(s *Spec) { s.Clients[0].Arrival.RatePerSec = math.Inf(1) },
+		"zero duration":  func(s *Spec) { s.Duration = 0 },
+		"no clients":     func(s *Spec) { s.Clients = nil },
+		"dup client":     func(s *Spec) { s.Clients[1].Name = s.Clients[0].Name },
+		"dup class":      func(s *Spec) { s.Classes[1].Name = s.Classes[0].Name },
+		"unknown class":  func(s *Spec) { s.Clients[0].Class = "platinum" },
+		"bad arrival":    func(s *Spec) { s.Clients[0].Arrival.Kind = "uniform" },
+		"zero rate":      func(s *Spec) { s.Clients[0].Arrival.RatePerSec = 0 },
+		"bad workload":   func(s *Spec) { s.Clients[0].Workload = "chaotic" },
+		"unnamed client": func(s *Spec) { s.Clients[0].Name = "" },
+		"unnamed class":  func(s *Spec) { s.Classes[0].Name = "" },
+		"negative rate":  func(s *Spec) { s.Clients[2].Arrival.RatePerSec = -5 },
+		"inf rate":       func(s *Spec) { s.Clients[0].Arrival.RatePerSec = math.Inf(1) },
 	} {
 		s := MixedSpec(1, time.Second, 10)
 		mutate(&s)

@@ -123,7 +123,7 @@ func Run(ctx context.Context, sched *Schedule, target Target) (*Measured, error)
 			shed := status == http.StatusTooManyRequests
 			record(Sample{Client: ev.Client, Class: ev.Class,
 				Latency: time.Since(t0), Status: status,
-				Err: err != nil || (status >= 400 && !shed),
+				Err:  err != nil || (status >= 400 && !shed),
 				Shed: shed, Ingest: true})
 			return
 		}

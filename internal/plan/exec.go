@@ -317,22 +317,22 @@ func executeStore(ctx context.Context, st *store.Store, preds []Predicate, mode 
 
 	stageTo(ctx, StagePrune)
 	stamp()
-	res, err := resolveUnion(sn, preds)
+	lay, err := sn.Layout(ctx)
+	if err != nil {
+		return finish(err)
+	}
+	res, err := resolveUnion(lay.Meta, preds)
 	if err != nil {
 		return finish(err)
 	}
 
+	// Surviving segments contribute their store-owned assemblies with a
+	// metadata selection and the perf selection it induces; pruned ones
+	// contribute only through the layout's tree and schemas. One gather
+	// at the end copies every surviving cell exactly once.
 	withStats := nseg == 1
-	// Segment thickets are the store's shared assemblies and never leave
-	// as they are: a lone segment's answer is copied, several are copied
-	// by the concatenation, and a filtered one is a gather.
-	own := func(th *core.Thicket) *core.Thicket {
-		if nseg == 1 {
-			return th.Copy()
-		}
-		return th
-	}
-	thickets := make([]*core.Thicket, 0, nseg)
+	var parts []core.Part
+	var stats *dataframe.Frame
 	for i := 0; i < nseg; i++ {
 		if err := ctx.Err(); err != nil {
 			return finish(err)
@@ -364,15 +364,12 @@ func executeStore(ctx context.Context, st *store.Store, preds []Predicate, mode 
 				}
 				ex.Segments = append(ex.Segments, se)
 			}
-			if mode != execPlanOnly {
-				stageTo(ctx, StageMaterialize)
-				th, err := sv.EmptyThicketCtx(ctx, withStats)
-				if err != nil {
+			if withStats && mode != execPlanOnly {
+				// A lone segment's stored stats carry over even when
+				// nothing of it survives, as Load's do.
+				if stats, err = sv.StatsCtx(ctx); err != nil {
 					return finish(err)
 				}
-				thickets = append(thickets, own(th))
-				lap(&stages.MaterializeNS)
-				stageTo(ctx, StagePrune)
 			}
 			continue
 		}
@@ -394,7 +391,7 @@ func executeStore(ctx context.Context, st *store.Store, preds []Predicate, mode 
 			continue
 		}
 		stageTo(ctx, StageFilter)
-		th, err := sv.LoadThicketCtx(ctx, withStats)
+		th, pos, err := sv.LoadThicketCtx(ctx, withStats)
 		if err != nil {
 			return finish(err)
 		}
@@ -405,19 +402,15 @@ func executeStore(ctx context.Context, st *store.Store, preds []Predicate, mode 
 		if collect {
 			ex.Segments = append(ex.Segments, se)
 		}
+		if withStats {
+			stats = th.Stats.Copy()
+		}
 		stageTo(ctx, StageMaterialize)
 		if len(sel) == nrows {
-			// Every row survives; the filter gather would be an identity.
-			thickets = append(thickets, own(th))
-			lap(&stages.MaterializeNS)
-			stageTo(ctx, StagePrune)
-			continue
+			parts = append(parts, core.Part{Thicket: th}) // every row survives
+		} else if len(sel) > 0 {
+			parts = append(parts, core.Part{Thicket: th, Meta: sel, Perf: perfSelection(pos, sel, nrows)})
 		}
-		mask := make([]bool, nrows)
-		for _, r := range sel {
-			mask[r] = true
-		}
-		thickets = append(thickets, th.FilterMetadata(func(m core.MetaRow) bool { return mask[m.Pos()] }))
 		lap(&stages.MaterializeNS)
 		stageTo(ctx, StagePrune)
 	}
@@ -426,13 +419,7 @@ func executeStore(ctx context.Context, st *store.Store, preds []Predicate, mode 
 		return nil, es, ex, nil
 	}
 	stageTo(ctx, StageMaterialize)
-	if len(thickets) == 1 {
-		if ex != nil {
-			ex.Stats, ex.Stages = es, stages
-		}
-		return thickets[0], es, ex, nil
-	}
-	out, err := core.ConcatProfiles(thickets)
+	out, err := core.Gather(lay, parts, stats)
 	if err != nil {
 		return finish(err)
 	}
@@ -441,6 +428,22 @@ func executeStore(ctx context.Context, st *store.Store, preds []Predicate, mode 
 		ex.Stats, ex.Stages = es, stages
 	}
 	return out, es, ex, nil
+}
+
+// perfSelection turns a segment's metadata selection into the perf rows
+// it keeps, in one pass over the cached perf→metadata positions.
+func perfSelection(pos []int32, sel dataframe.Sel, nmeta int) dataframe.Sel {
+	keep := make([]bool, nmeta)
+	for _, r := range sel {
+		keep[r] = true
+	}
+	out := dataframe.Sel{}
+	for r, m := range pos {
+		if m >= 0 && keep[m] {
+			out = append(out, uint32(r))
+		}
+	}
+	return out
 }
 
 // describeUnfiltered fills the segment lines of a no-predicate analyze:
@@ -481,40 +484,15 @@ func addSegmentColumns(ex *Explain, idx explainCols, sv store.SegmentView, decod
 	return nil
 }
 
-// resolveUnion reconstructs, from headers alone, how each predicate
-// column would resolve against the concatenated metadata frame the
-// naive path builds: union of full column keys in first-appearance
-// order, union kind from the first appearance, index levels from the
-// first segment. Unknown columns error with the endpoints' message.
-func resolveUnion(sn *store.Snapshot, preds []Predicate) ([]colResolution, error) {
-	type spec struct {
-		key  dataframe.ColKey
-		kind dataframe.Kind
-	}
-	var specs []spec
-	seen := map[string]bool{}
-	var levels []string
-	for i := 0; i < sn.NumSegments(); i++ {
-		cols, err := sn.Segment(i).Columns(store.FrameMeta)
-		if err != nil {
-			return nil, err
-		}
-		for _, cs := range cols {
-			if cs.Level {
-				if i == 0 {
-					levels = append(levels, cs.Key.Leaf())
-				}
-				continue
-			}
-			k := cs.Key.String()
-			if !seen[k] {
-				seen[k] = true
-				specs = append(specs, spec{key: cs.Key, kind: cs.Kind})
-			}
-		}
-	}
+// resolveUnion resolves each predicate column against the metadata
+// schema the naive path's concatenation would have — union of full
+// column keys in first-appearance order, union kind from the first
+// appearance, index levels from the first segment — which the store's
+// layout holds, built from headers alone. Unknown columns error with
+// the endpoints' message.
+func resolveUnion(meta *dataframe.Schema, preds []Predicate) ([]colResolution, error) {
 	hasLevel := func(name string) string {
-		for _, l := range levels {
+		for _, l := range meta.Levels() {
 			if l == name {
 				return name
 			}
@@ -526,19 +504,23 @@ func resolveUnion(sn *store.Snapshot, preds []Predicate) ([]colResolution, error
 		r := colResolution{level: hasLevel(p.Column)}
 		exact := -1
 		var leaves []int
-		for si, sp := range specs {
-			if len(sp.key) == 1 && sp.key[0] == p.Column {
-				exact = si
+		for c := 0; c < meta.NCols(); c++ {
+			key, _ := meta.Column(c)
+			if len(key) == 1 && key[0] == p.Column {
+				exact = c
 			}
-			if sp.key.Leaf() == p.Column {
-				leaves = append(leaves, si)
+			if key.Leaf() == p.Column {
+				leaves = append(leaves, c)
 			}
 		}
+		col := exact
+		if exact < 0 && len(leaves) == 1 {
+			col = leaves[0]
+		}
 		switch {
-		case exact >= 0:
-			r.mode, r.key, r.kind = resolveKey, specs[exact].key, specs[exact].kind
-		case len(leaves) == 1:
-			r.mode, r.key, r.kind = resolveKey, specs[leaves[0]].key, specs[leaves[0]].kind
+		case col >= 0:
+			r.mode = resolveKey
+			r.key, r.kind = meta.Column(col)
 		case len(leaves) == 0:
 			r.mode = resolveAbsent
 		default:

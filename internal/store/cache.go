@@ -2,8 +2,10 @@ package store
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 
+	"repro/internal/calltree"
 	"repro/internal/core"
 	"repro/internal/dataframe"
 	"repro/internal/telemetry"
@@ -16,19 +18,23 @@ import (
 const DefaultCacheBytes = 64 << 20
 
 // columnCache is a byte-bounded LRU of decoded column series, keyed by
-// (segment generation, frame, block), plus the segment assemblies built
-// over them. The generation stamp — not the segment's position —
+// (segment generation, frame, block), plus what is derived from them:
+// per segment generation, the segment's assemblies (validated thicket
+// and perf→metadata row positions); per layout generation, the one
+// layout of the live segment set (union call tree and outer schemas,
+// from headers). The generation stamp — not the segment's position —
 // identifies the segment, so compaction retiring some segments
-// invalidates exactly their entries (dropSegment) while every surviving
-// segment keeps its warm columns.
+// invalidates exactly their entries and any layout holding them
+// (dropSegment) while every surviving segment keeps its warm columns.
 //
-// Sharing contract: a cached series is shared only with store-internal
-// assemblies and with the frames a read builds before it returns.
-// Everything the store hands out is a gather or a copy, so no caller's
-// mutation can reach the cache. An assembly references its segment's
-// cached series instead of copying them, so each decoded column is
-// resident — and counted — once; evicting any of a segment's columns
-// evicts that segment's assemblies with it.
+// Sharing contract: a cached series, tree or schema is shared only with
+// store-internal assemblies and with the frames a read builds before it
+// returns. Everything the store hands out is a gather or a copy, so no
+// caller's mutation can reach the cache. An assembly references its
+// segment's cached series instead of copying them, so each decoded
+// column is resident — and counted — once; evicting any of a segment's
+// columns evicts that segment's assemblies with it. Assemblies and
+// layouts are charged only their own overhead.
 type columnCache struct {
 	mu    sync.Mutex
 	max   int64
@@ -43,24 +49,21 @@ type columnCache struct {
 }
 
 // cacheKey names a decoded block, or — with frame set to one of the
-// assembly pseudo-frames — a segment assembly.
+// pseudo-frames — a segment assembly or the layout.
 type cacheKey struct {
-	gen   int64 // per-segment generation stamp
+	gen   int64 // per-segment generation stamp (0 for the layout)
 	frame string
 	block int // index levels first, then data columns; assemblies: 1 = with stats
 }
 
-// Assembly pseudo-frames: never the name of a stored frame.
+// Pseudo-frames: never the name of a stored frame.
 const (
-	asmFull  = "\x00full"  // every meta and perf block
-	asmEmpty = "\x00empty" // header-only schema, no meta or perf rows
+	asmFull   = "\x00full"   // an assembly: every meta and perf block
+	layoutKey = "\x00layout" // the layout of the live segment set
 )
 
-func asmKey(gen int64, full, withStats bool) cacheKey {
-	k := cacheKey{gen: gen, frame: asmEmpty}
-	if full {
-		k.frame = asmFull
-	}
+func asmKey(gen int64, withStats bool) cacheKey {
+	k := cacheKey{gen: gen, frame: asmFull}
 	if withStats {
 		k.block = 1
 	}
@@ -68,11 +71,21 @@ func asmKey(gen int64, full, withStats bool) cacheKey {
 }
 
 // assembly is one segment's validated thicket, built over the cache's
-// shared series. blocks lists every block it covers, in header order:
-// serving it reports those blocks as visited.
+// shared series, with each perf row's metadata row position. blocks
+// lists every block it covers, in header order: serving it reports
+// those blocks as visited.
 type assembly struct {
 	th     *core.Thicket
+	pos    []int32
 	blocks []assembledBlock
+}
+
+// layout is the union call tree and outer perf/metadata schemas of the
+// segments stamped gens, in layout order.
+type layout struct {
+	gens       []int64
+	tree       *calltree.Tree
+	perf, meta *dataframe.Schema
 }
 
 type assembledBlock struct {
@@ -82,10 +95,11 @@ type assembledBlock struct {
 }
 
 type cacheEntry struct {
-	key   cacheKey
-	s     *dataframe.Series // block entries
-	asm   *assembly         // assembly entries
-	bytes int64
+	key    cacheKey
+	s      *dataframe.Series // block entries
+	asm    *assembly         // assembly entries
+	layout *layout           // the layout entry
+	bytes  int64
 }
 
 func newColumnCache(maxBytes int64, path string) *columnCache {
@@ -123,10 +137,16 @@ func seriesBytes(s *dataframe.Series) int64 {
 }
 
 // assemblyBytes estimates what an assembly holds beyond the shared
-// series it references: the call tree and the validated metadata
-// index's key lookup.
-func assemblyBytes(th *core.Thicket) int64 {
-	return int64(th.Tree.Len())*96 + int64(th.Metadata.NRows())*48
+// series it references: the call tree, the validated metadata index's
+// key lookup and the perf rows' metadata positions.
+func assemblyBytes(a *assembly) int64 {
+	return int64(a.th.Tree.Len())*96 + int64(a.th.Metadata.NRows())*48 + int64(len(a.pos))*4
+}
+
+// layoutBytes estimates a layout's resident size: its tree and its
+// schemas' column keys.
+func layoutBytes(l *layout) int64 {
+	return int64(l.tree.Len())*96 + int64(l.perf.NCols()+l.meta.NCols())*64 + int64(len(l.gens))*8
 }
 
 // get returns the cached series itself — shared, so the caller must not
@@ -163,9 +183,9 @@ func (c *columnCache) put(k cacheKey, s *dataframe.Series) *dataframe.Series {
 	return s
 }
 
-// assembly returns the cached assembly under k, or nil. Hits are
-// counted by the caller per served block.
-func (c *columnCache) assembly(k cacheKey) *assembly {
+// entry returns the cached assembly or layout entry under k, or nil.
+// An assembly's hits are counted by the caller per served block.
+func (c *columnCache) entry(k cacheKey) *cacheEntry {
 	if c.max <= 0 {
 		return nil
 	}
@@ -176,14 +196,28 @@ func (c *columnCache) assembly(k cacheKey) *assembly {
 		return nil
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).asm
+	return el.Value.(*cacheEntry)
 }
 
 // putAssembly caches a under k provided every series it was built on is
 // still the resident entry for its block — otherwise the assembly would
 // keep an uncounted column alive, and it is left uncached.
 func (c *columnCache) putAssembly(k cacheKey, a *assembly) {
-	c.insert(&cacheEntry{key: k, asm: a, bytes: assemblyBytes(a.th)})
+	c.insert(&cacheEntry{key: k, asm: a, bytes: assemblyBytes(a)})
+}
+
+// putLayout caches l in place of any other layout: only the layout of
+// one segment set — normally the live one — is kept.
+func (c *columnCache) putLayout(l *layout) {
+	if c.max <= 0 {
+		return
+	}
+	c.mu.Lock()
+	if el, ok := c.items[cacheKey{frame: layoutKey}]; ok {
+		c.removeLocked(el)
+	}
+	c.mu.Unlock()
+	c.insert(&cacheEntry{key: cacheKey{frame: layoutKey}, layout: l, bytes: layoutBytes(l)})
 }
 
 // insert caches ent unless its key is already resident, and returns the
@@ -241,21 +275,19 @@ func (c *columnCache) removeLocked(el *list.Element) {
 	c.order.Remove(el)
 	delete(c.items, ent.key)
 	c.used -= ent.bytes
-	if ent.asm != nil {
+	if ent.s == nil {
 		return
 	}
-	for _, full := range []bool{false, true} {
-		for _, withStats := range []bool{false, true} {
-			if a, ok := c.items[asmKey(ent.key.gen, full, withStats)]; ok {
-				c.removeLocked(a)
-			}
+	for _, withStats := range []bool{false, true} {
+		if a, ok := c.items[asmKey(ent.key.gen, withStats)]; ok {
+			c.removeLocked(a)
 		}
 	}
 }
 
 // dropSegment evicts every entry belonging to the segment stamped gen —
-// the compaction path: retired segments' columns and assemblies leave
-// the cache, the survivors' stay warm.
+// the compaction path: retired segments' columns, assemblies and the
+// layout holding them leave the cache, the survivors' stay warm.
 func (c *columnCache) dropSegment(gen int64) {
 	if c.max <= 0 {
 		return
@@ -263,8 +295,8 @@ func (c *columnCache) dropSegment(gen int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var keys []cacheKey
-	for k := range c.items {
-		if k.gen == gen {
+	for k, el := range c.items {
+		if l := el.Value.(*cacheEntry).layout; k.gen == gen || l != nil && slices.Contains(l.gens, gen) {
 			keys = append(keys, k)
 		}
 	}

@@ -24,3 +24,15 @@ func (s *Store) Assemblies() (gens []int64, bytes int64) {
 	sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
 	return gens, bytes
 }
+
+// CachedLayout reports the segment generations the cached layout
+// covers, or nil when no layout is cached.
+func (s *Store) CachedLayout() []int64 {
+	c := s.cache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[cacheKey{frame: layoutKey}]; ok {
+		return el.Value.(*cacheEntry).layout.gens
+	}
+	return nil
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"repro/internal/calltree"
 	"repro/internal/core"
@@ -16,16 +17,14 @@ import (
 // predicate — whether any row can match before a single block is
 // decoded. It exposes exactly what the planner needs and nothing more:
 // per-column min/max/null statistics from the header, dictionary-page
-// membership probes that parse only a block's word table, and
-// constructors for both the full segment thicket (survivors) and the
-// schema-only empty thicket (pruned segments still contribute their
-// column schema and tree paths to a multi-segment union).
+// membership probes that parse only a block's word table, the snapshot's
+// layout (union call tree and outer schemas, which pruned segments shape
+// without a block read), and the surviving segments' assemblies.
 
 // Exported frame names for Snapshot consumers.
 const (
-	FramePerf  = framePerf
-	FrameMeta  = frameMeta_
-	FrameStats = frameStats
+	FramePerf = framePerf
+	FrameMeta = frameMeta_
 )
 
 // ColumnStats is one block's header-level description: key, kind, zone
@@ -68,9 +67,6 @@ func (sn *Snapshot) Release() { sn.release() }
 // NumSegments reports the snapshot's segment count.
 func (sn *Snapshot) NumSegments() int { return len(sn.segs) }
 
-// ProfileLevel reports the shared profile index level name.
-func (sn *Snapshot) ProfileLevel() string { return sn.st.ProfileLevel() }
-
 // Segment returns the i-th segment view in layout order.
 func (sn *Snapshot) Segment(i int) SegmentView {
 	return SegmentView{st: sn.st, seg: sn.segs[i]}
@@ -95,21 +91,6 @@ func (v SegmentView) NRows(frame string) int {
 		return fm.NRows
 	}
 	return 0
-}
-
-// TreePaths returns the segment's call-tree paths in serialization
-// order.
-func (v SegmentView) TreePaths() [][]string { return v.seg.header.TreePaths }
-
-// Tree rebuilds the segment's call tree from header paths alone.
-func (v SegmentView) Tree() (*calltree.Tree, error) {
-	tree := calltree.New()
-	for i, p := range v.seg.header.TreePaths {
-		if _, err := tree.AddPath(p); err != nil {
-			return nil, fmt.Errorf("store: %s: segment g%d tree path %d: %w", v.st.path, v.seg.gen, i, err)
-		}
-	}
-	return tree, nil
 }
 
 // Columns describes the named frame's blocks — index levels first, then
@@ -204,55 +185,46 @@ func (v SegmentView) DictHasWord(frame string, cs ColumnStats, word string) (boo
 }
 
 // LoadThicketCtx returns the segment's full thicket — the survivor
-// path. It is the store's own assembly: built once per segment
-// generation over the column cache's shared series, validated once, and
-// read-only — callers gather or copy before anything leaves their
-// hands. withStats controls whether the stored stats frame decodes;
-// pass true only for a single-segment store, matching Store.Load. ctx
-// is checked at every block boundary and its ScanObserver hears about
-// every block the thicket covers, whether the assembly is built or
-// served warm.
-func (v SegmentView) LoadThicketCtx(ctx context.Context, withStats bool) (*core.Thicket, error) {
-	return v.assembled(ctx, true, withStats)
-}
-
-// EmptyThicketCtx returns the segment's zero-row thicket — the pruned
-// path: full tree, meta/perf frames with the right schema and no rows,
-// built from the header without reading a meta or perf block. With
-// withStats the stored stats frame still decodes (a pruned
-// single-segment store must reproduce the stats table the naive path
-// carries over). Like LoadThicketCtx it returns the store's read-only
-// assembly.
-func (v SegmentView) EmptyThicketCtx(ctx context.Context, withStats bool) (*core.Thicket, error) {
-	return v.assembled(ctx, false, withStats)
-}
-
-// assembled serves the segment's full or empty thicket from its cached
-// assembly, or builds, validates and caches it. A build that fails or
-// whose context ends is never cached.
-func (v SegmentView) assembled(ctx context.Context, full, withStats bool) (*core.Thicket, error) {
+// path — and, for every perf row, the position of its metadata row
+// (core.Thicket.MetaPositions). Both are the store's own assembly: built
+// once per segment generation over the column cache's shared series,
+// validated once, and read-only — callers gather or copy before anything
+// leaves their hands. withStats controls whether the stored stats frame
+// decodes; pass true only for a single-segment store, matching
+// Store.Load. ctx is checked at every block boundary and its
+// ScanObserver hears about every block the thicket covers, whether the
+// assembly is built or served warm. A build that fails or whose context
+// ends is never cached.
+func (v SegmentView) LoadThicketCtx(ctx context.Context, withStats bool) (*core.Thicket, []int32, error) {
 	s, seg := v.st, v.seg
-	key := asmKey(seg.gen, full, withStats)
-	if a := s.cache.assembly(key); a != nil {
-		if err := s.serveAssembly(ctx, a); err != nil {
-			return nil, err
+	key := asmKey(seg.gen, withStats)
+	if e := s.cache.entry(key); e != nil {
+		// Account for the warm use the way building it would have: every
+		// covered block is checked against ctx, reported to the context's
+		// ScanObserver, and counted as a column-cache hit.
+		obs := scanObserverFrom(ctx)
+		for _, b := range e.asm.blocks {
+			if err := ctx.Err(); err != nil {
+				return nil, nil, err
+			}
+			if obs != nil {
+				obs.BlockRead(b.key.frame, b.column)
+			}
 		}
-		return a.th, nil
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		s.cache.hits.Add(int64(len(e.asm.blocks)))
+		return e.asm.th, e.asm.pos, nil
 	}
-	var th *core.Thicket
-	var err error
-	if full {
-		th, err = s.loadSegment(ctx, nil, seg, nil, withStats)
-	} else {
-		th, err = v.emptyThicket(ctx, withStats)
-	}
+	th, err := s.loadSegment(ctx, nil, seg, nil, withStats)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	a := &assembly{th: th}
+	a := &assembly{th: th, pos: th.MetaPositions()}
 	cover := func(name string, fr *dataframe.Frame) {
 		fm := seg.header.frame(name)
 		for l, cm := range fm.Levels {
@@ -264,87 +236,87 @@ func (v SegmentView) assembled(ctx context.Context, full, withStats bool) (*core
 				column: dataframe.ColKey(cm.Key).Leaf(), s: fr.ColumnAt(c)})
 		}
 	}
-	if full {
-		cover(framePerf, th.PerfData)
-		cover(frameMeta_, th.Metadata)
-	}
+	cover(framePerf, th.PerfData)
+	cover(frameMeta_, th.Metadata)
 	if withStats {
 		cover(frameStats, th.Stats)
 	}
 	s.cache.putAssembly(key, a)
-	return th, nil
+	return th, a.pos, nil
 }
 
-// serveAssembly accounts one warm use of an assembly the way building it
-// would have: every covered block is checked against ctx, reported to
-// the context's ScanObserver, and counted as a column-cache hit.
-func (s *Store) serveAssembly(ctx context.Context, a *assembly) error {
-	obs := scanObserverFrom(ctx)
-	for _, b := range a.blocks {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if obs != nil {
-			obs.BlockRead(b.key.frame, b.column)
-		}
+// StatsCtx returns a copy of the segment's stored stats frame — what a
+// pruned single-segment store still carries over, as Store.Load does.
+func (v SegmentView) StatsCtx(ctx context.Context) (*dataframe.Frame, error) {
+	f, err := v.st.loadFrame(ctx, nil, v.seg, frameStats, nil)
+	if err != nil {
+		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	s.cache.hits.Add(int64(len(a.blocks)))
-	return nil
+	return f.Copy(), nil
 }
 
-// emptyThicket builds the segment's zero-row thicket from the header.
-func (v SegmentView) emptyThicket(ctx context.Context, withStats bool) (*core.Thicket, error) {
-	tree, err := v.Tree()
-	if err != nil {
-		return nil, err
+// Layout returns what the snapshot's segments concatenate into before
+// any row is chosen: the union call tree (a fresh copy the caller owns)
+// and the outer perf and metadata schemas, pruned segments included.
+// It comes from segment headers alone, once per layout generation, and
+// is cached in the column cache like an assembly: a compaction retiring
+// any of its segments evicts it, and a build whose context has ended is
+// not cached.
+func (sn *Snapshot) Layout(ctx context.Context) (core.Layout, error) {
+	gens := make([]int64, len(sn.segs))
+	for i, seg := range sn.segs {
+		gens[i] = seg.gen
 	}
-	perf, err := v.EmptyFrame(framePerf)
-	if err != nil {
-		return nil, err
-	}
-	meta, err := v.EmptyFrame(frameMeta_)
-	if err != nil {
-		return nil, err
-	}
-	var stats *dataframe.Frame
-	if withStats {
-		stats, err = v.st.loadFrame(ctx, nil, v.seg, frameStats, nil)
-		if err != nil {
-			return nil, err
+	var l *layout
+	if e := sn.st.cache.entry(cacheKey{frame: layoutKey}); e != nil && slices.Equal(e.layout.gens, gens) {
+		l = e.layout
+	} else {
+		var err error
+		if l, err = sn.buildLayout(gens); err != nil {
+			return core.Layout{}, err
+		}
+		if ctx.Err() == nil {
+			sn.st.cache.putLayout(l)
 		}
 	}
-	return core.FromParts(tree, perf, meta, stats, v.seg.header.ProfileLevel)
+	return core.Layout{Tree: l.tree.Copy(), ProfileLevel: sn.st.ProfileLevel(), Perf: l.perf, Meta: l.meta}, nil
 }
 
-// EmptyFrame builds a zero-row frame with the named frame's exact
-// schema — index level names/kinds and column keys/kinds — from the
-// header, without reading any block. It equals SelectRows(loaded, nil)
-// on every axis a Frame comparison sees.
-func (v SegmentView) EmptyFrame(frame string) (*dataframe.Frame, error) {
-	cols, err := v.Columns(frame)
-	if err != nil {
-		return nil, err
-	}
-	var levels []*dataframe.Series
-	var keys []dataframe.ColKey
-	var data []*dataframe.Series
-	for _, cs := range cols {
-		s := dataframe.NewSeries(cs.Key.Leaf(), cs.Kind)
-		if cs.Level {
-			levels = append(levels, s)
-			continue
+// buildLayout folds every segment's header tree paths and perf/metadata
+// column descriptions, in layout order.
+func (sn *Snapshot) buildLayout(gens []int64) (*layout, error) {
+	l := &layout{gens: gens, tree: calltree.New(), perf: &dataframe.Schema{}, meta: &dataframe.Schema{}}
+	for i := range sn.segs {
+		v := sn.Segment(i)
+		for j, p := range v.seg.header.TreePaths {
+			if _, err := l.tree.AddPath(p); err != nil {
+				return nil, fmt.Errorf("store: %s: segment g%d tree path %d: %w", sn.st.path, v.seg.gen, j, err)
+			}
 		}
-		keys = append(keys, cs.Key)
-		data = append(data, s)
+		for _, fr := range []struct {
+			name   string
+			schema *dataframe.Schema
+		}{{framePerf, l.perf}, {frameMeta_, l.meta}} {
+			cols, err := v.Columns(fr.name)
+			if err != nil {
+				return nil, err
+			}
+			var levels []string
+			var keys []dataframe.ColKey
+			var levelKinds, kinds []dataframe.Kind
+			for _, cs := range cols {
+				if cs.Level {
+					levels, levelKinds = append(levels, cs.Key.Leaf()), append(levelKinds, cs.Kind)
+				} else {
+					keys, kinds = append(keys, cs.Key), append(kinds, cs.Kind)
+				}
+			}
+			if err := fr.schema.Merge(levels, levelKinds, keys, kinds); err != nil {
+				return nil, fmt.Errorf("store: %s: %s: %w", sn.st.path, fr.name, err)
+			}
+		}
 	}
-	ix, err := dataframe.NewIndex(levels...)
-	if err != nil {
-		return nil, fmt.Errorf("store: %s: segment g%d frame %s: %w", v.st.path, v.seg.gen, frame, err)
-	}
-	return dataframe.NewFrameWithColIndex(ix, keys, data)
+	return l, nil
 }
 
 // BlockCount sums the named frames' block counts (levels + columns)

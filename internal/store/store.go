@@ -582,12 +582,13 @@ func (s *Store) loadSegment(ctx context.Context, parent *telemetry.Span, seg *se
 	return core.FromParts(tree, perf, meta, stats, seg.header.ProfileLevel)
 }
 
-// Load materializes the whole store as one thicket. A single-segment
-// store reproduces the stored thicket exactly — frames, tree, stats,
-// and profile level, bit for bit. A multi-segment store concatenates
-// the segments over the union call tree (core.ConcatProfiles
-// semantics); aggregated statistics reset to empty since stored stats
-// no longer cover the appended profiles.
+// Load materializes the whole store as one thicket: every segment
+// gathered over the snapshot's layout (core.Gather). A single-segment
+// store reproduces the stored thicket exactly — frames, tree, stats, and
+// profile level, bit for bit. A multi-segment store concatenates the
+// segments over the union call tree (core.ConcatProfiles semantics);
+// aggregated statistics reset to empty since stored stats no longer
+// cover the appended profiles.
 func (s *Store) Load() (*core.Thicket, error) {
 	return s.load(context.Background(), nil)
 }
@@ -633,29 +634,37 @@ func (s *Store) LoadProjection(keys []dataframe.ColKey) (*core.Thicket, error) {
 func (s *Store) load(ctx context.Context, keepPerf func(dataframe.ColKey) bool) (*core.Thicket, error) {
 	sp := telemetry.StartOp("store.Load")
 	defer sp.End()
-	segs, release := s.pin()
-	defer release()
-	if len(segs) == 0 {
+	sn := s.Snapshot()
+	defer sn.Release()
+	if len(sn.segs) == 0 {
 		return nil, fmt.Errorf("store: %s: empty store", s.path)
 	}
 	if sp != nil {
 		sp.SetAttr("path", s.path)
-		sp.SetAttr("segments", fmt.Sprint(len(segs)))
+		sp.SetAttr("segments", fmt.Sprint(len(sn.segs)))
 	}
-	withStats := len(segs) == 1 && keepPerf == nil
-	thickets := make([]*core.Thicket, len(segs))
-	for i, seg := range segs {
+	lay, err := sn.Layout(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if keepPerf != nil {
+		lay.Perf = nil // a projection's perf schema comes from its frames
+	}
+	withStats := len(sn.segs) == 1 && keepPerf == nil
+	parts := make([]core.Part, len(sn.segs))
+	for i, seg := range sn.segs {
 		th, err := s.loadSegment(ctx, sp, seg, keepPerf, withStats)
 		if err != nil {
 			return nil, err
 		}
-		thickets[i] = th
+		parts[i] = core.Part{Thicket: th}
 	}
-	if len(thickets) == 1 {
-		return thickets[0].Copy(), nil
+	var stats *dataframe.Frame
+	if withStats {
+		stats = parts[0].Thicket.Stats.Copy()
 	}
-	// The concatenation copies every input cell: nothing shared escapes.
-	th, err := core.ConcatProfiles(thickets)
+	// The gather copies every input cell: nothing shared escapes.
+	th, err := core.Gather(lay, parts, stats)
 	if err != nil {
 		return nil, fmt.Errorf("store: %s: %w", s.path, err)
 	}
@@ -703,7 +712,7 @@ func (s *Store) Metadata() (*dataframe.Frame, error) {
 	if len(frames) == 1 {
 		return frames[0].Copy(), nil
 	}
-	out, err := dataframe.ConcatRowsOuter(frames...)
+	out, err := dataframe.ConcatRowsOuter(nil, frames, nil)
 	if err != nil {
 		return nil, fmt.Errorf("store: %s: metadata: %w", s.path, err)
 	}
